@@ -4,10 +4,10 @@ A :class:`BlockStore` owns the global CSR plus a :class:`Partition` and
 derives per-block byte sizes exactly as the paper does (4-byte index entry
 per vertex + 4 bytes per neighbor). When given a directory it also
 *physically* writes one ``.npz`` per block (Index-File + CSR-File slice) and
-can reload blocks from disk, so the system genuinely is disk-based; engines
-may skip the physical read (``physical=False``) because reported I/O time
-comes from the deterministic :class:`~repro.disk.iosim.DiskSim` model either
-way.
+can reload blocks from disk, so the system genuinely is disk-based. Engines
+load every block through :meth:`BlockStore.load_block`, which skips the
+physical read when ``physical=False``: reported I/O time comes from the
+deterministic :class:`~repro.disk.iosim.DiskSim` model either way.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.disk.iosim import IOParams
+from repro.disk.iosim import DiskSim, IOParams
 from repro.graphs.csr import CSR
 from repro.graphs.partition import Partition
 
@@ -108,6 +108,13 @@ class BlockStore:
                 indptr=self.csr.indptr[lo : hi + 1] - base,
                 indices=self.csr.indices[self.csr.indptr[lo] : self.csr.indptr[hi]],
             )
+
+    def load_block(self, b: int, sim: DiskSim) -> None:
+        """Bring block ``b`` into memory for an engine: read it from disk if
+        ``physical``, and charge one block I/O to ``sim`` either way."""
+        if self.physical:
+            self.read_block(b)
+        sim.charge_block_load(b, self.block_bytes(b))
 
     def read_block(self, b: int) -> BlockSlice:
         """Return block ``b``'s CSR slice, from disk if ``physical``."""

@@ -1,21 +1,29 @@
-"""Shared engine machinery: walk pools, block slots, result container.
+"""Shared engine machinery: walk pools, block slots and the stepping loop.
 
 Engines are driver-side schedulers over the :class:`~repro.disk.store.BlockStore`
 (the disk image built by Spark jobs). All state an engine keeps beyond the
 two in-memory blocks lives in :class:`WalkPools` — the on-disk walk pools of
 the paper (one per block) — and every pool load/persist is charged to the
 I/O simulator as sequential walk I/O.
+
+Every engine runs the block-centric loop GraphWalker introduced: make a block
+current, step walks while they stay resident, persist the leavers. The
+stepping half is :meth:`EngineRun.bucket`, shared by all of them; each
+engine module only decides which blocks to load, in which order, and where
+leaving walks go.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.graphs.csr import CSR
-from repro.walks.models import Recorder, WalkTask, done_mask
+from repro.walks.models import Recorder, WalkTask, advance, done_mask
 from repro.walks.state import Walks
 
 
@@ -81,9 +89,7 @@ class BlockSlots:
             return False
         if len(self.resident) >= self.n_slots:
             self.resident.pop(0)
-        if self.store.physical:
-            self.store.read_block(b)  # genuine disk read (fidelity path)
-        self.sim.charge_block_load(b, self.store.block_bytes(b))
+        self.store.load_block(b, self.sim)
         self.resident.append(b)
         return True
 
@@ -114,19 +120,68 @@ def split_done(task: WalkTask, csr: CSR, walks: Walks) -> tuple[Walks, Walks]:
     return walks.select(d), walks.select(~d)
 
 
-def make_recorder(
-    csr: CSR,
-    task: WalkTask,
-    starts: Walks,
-    record_paths: bool,
-    record_visits: bool = False,
-) -> Recorder | None:
-    """Recorder for the requested artifacts, or None (fast path)."""
-    if not (record_paths or record_visits):
-        return None
-    rec = Recorder(
-        csr.n, len(starts), task.max_len,
-        record_paths=record_paths, record_visits=record_visits,
-    )
-    rec.on_start(starts)
-    return rec
+class EngineRun:
+    """One engine run: simulator, recorder, walk pools and the stepping loop.
+
+    The start walks that are not already finished are placed in the pool
+    of their home block, ``home(walks)`` (by default the block of the
+    current vertex; bi-block passes the skewed-storage rule).
+    """
+
+    def __init__(
+        self,
+        store: BlockStore,
+        task: WalkTask,
+        starts: Walks,
+        sim: DiskSim | None,
+        *,
+        record_paths: bool,
+        record_visits: bool,
+        home: Callable[[Walks], np.ndarray] | None = None,
+    ) -> None:
+        self.store = store
+        self.task = task
+        self.sim = sim or DiskSim(params=store.params)
+        self.rec = None
+        if record_paths or record_visits:
+            self.rec = Recorder(
+                store.n, len(starts), task.max_len,
+                record_paths=record_paths, record_visits=record_visits,
+            )
+            self.rec.on_start(starts)
+        self.pools = WalkPools(self.sim, store.n_blocks)
+        _, live = split_done(task, store.csr, starts)
+        self.pools.add_grouped(home(live) if home else store.block_of(live.cur), live)
+
+    def bucket(
+        self,
+        active: Walks,
+        b: int,
+        i: int,
+        route: Callable[[np.ndarray, Walks], None],
+        before_step: Callable[[Walks], None] | None = None,
+    ) -> None:
+        """Execute one bucket with blocks ``b`` and ``i`` resident (``i == b``
+        for single-block engines): step the walks while their current vertex
+        stays in ``{b, i}``, drop finished walks, and hand each batch of
+        leavers to ``route(cur_block_per_walk, walks)``. ``before_step``
+        runs on the walks before every step (on-demand residency, light
+        vertex I/O); only ``advance`` is timed."""
+        csr, task, sim = self.store.csr, self.task, self.sim
+        sim.bucket_execs += 1
+        while len(active):
+            if before_step is not None:
+                before_step(active)
+            t0 = time.perf_counter()
+            advance(csr, task, active, self.rec)
+            sim.exec_real_s += time.perf_counter() - t0
+            sim.steps += len(active)
+            _, active = split_done(task, csr, active)
+            curb = self.store.block_of(active.cur)
+            out = (curb != b) & (curb != i)
+            if out.any():
+                route(curb[out], active.select(out))
+                active = active.select(~out)
+
+    def result(self, name: str) -> EngineResult:
+        return EngineResult(name=name, sim=self.sim, recorder=self.rec)

@@ -1,6 +1,6 @@
 """GraSorw's bi-block execution engine (paper §4, Algorithms 1 and 2).
 
-The current block id iterates 0..N_B-1 (Iteration-based scheduling, §4.1),
+The current block id cycles 0..N_B-1 (Iteration-based scheduling, §4.1),
 skipping blocks whose skewed-storage pool is empty. For each current block
 ``b`` the pooled walks are collected into buckets (Eq. 4, self-bucket ``b``
 for walks that have not stepped yet — the paper's initialization stage,
@@ -18,26 +18,20 @@ Ancillary blocks are loaded through a :class:`~repro.engines.loading.BlockLoader
 """
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult, WalkPools, make_recorder, split_done
+from repro.engines.base import EngineResult, EngineRun, WalkPools
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
+from repro.engines.scheduling import IterationScheduler
 from repro.walks.buckets import ExtensionBuffers, collect_buckets
-from repro.walks.models import WalkTask, advance
+# ``advance`` stays bound here: perfbench's tracer self-test checks that
+# patching reaches this binding.
+from repro.walks.models import WalkTask, advance  # noqa: F401
 from repro.walks.state import Walks, skewed_block_of
-
-
-def _skewed_add(pools: WalkPools, store: BlockStore, walks: Walks) -> None:
-    """Persist walks into pools under the skewed storage rule (§4.3.1)."""
-    if not len(walks):
-        return
-    pb = np.where(walks.prev < 0, -1, store.block_of(np.maximum(walks.prev, 0)))
-    cb = store.block_of(walks.cur)
-    pools.add_grouped(skewed_block_of(pb, cb), walks)
 
 
 def run_bi_block(
@@ -55,85 +49,65 @@ def run_bi_block(
 ) -> EngineResult:
     """Run the bi-block engine to completion. ``loading`` selects the
     ancillary block loading method: "full", "ondemand" or "learned"."""
-    csr = store.csr
-    nb = store.n_blocks
-    sim = sim or DiskSim(params=store.params)
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, nb)
+    run = EngineRun(
+        store, task, starts, sim, record_paths=record_paths, record_visits=record_visits,
+        # skewed storage (§4.3.1); block_of(-1) == -1 marks "no previous vertex"
+        home=lambda w: skewed_block_of(store.block_of(w.prev), store.block_of(w.cur)),
+    )
+    sim, pools = run.sim, run.pools
+    sched = IterationScheduler()
     loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
 
-    _, live = split_done(task, csr, starts)
-    _skewed_add(pools, store, live)
+    while (b := sched.pick(pools)) is not None:
+        walks = pools.pop(b)
+        buckets = collect_buckets(walks, store.block_of(walks.prev), store.block_of(walks.cur), b)
+        ext = ExtensionBuffers()
+        store.load_block(b, sim)  # current: always full
+        sim.time_slots += 1
 
-    while pools.total():
-        for b in range(nb):
-            if pools.counts[b] == 0:
+        for i in range(b, store.n_blocks):  # i == b is the hop-0 self-bucket
+            bucket = Walks.concat([buckets.get(i, Walks.empty()), ext.drain(i)])
+            if not len(bucket):
                 continue
-            walks = pools.pop(b)
-            pb = np.where(walks.prev < 0, -1, store.block_of(np.maximum(walks.prev, 0)))
-            cb = store.block_of(walks.cur)
-            buckets = collect_buckets(walks, pb, cb, b)
-            ext = ExtensionBuffers()
-            if store.physical:
-                store.read_block(b)
-            sim.charge_block_load(b, store.block_bytes(b))  # current: always full
-            sim.time_slots += 1
 
-            for i in range(b, nb):  # i == b is the hop-0 self-bucket
-                bucket = Walks.concat([buckets.get(i, Walks.empty()), ext.drain(i)])
-                if not len(bucket):
-                    continue
-                if i != b:
-                    in_block = lambda v: (v >= 0) & (store.block_of(np.maximum(v, 0)) == i)  # noqa: E731
-                    activated = np.concatenate(
-                        [bucket.prev[in_block(bucket.prev)], bucket.cur[in_block(bucket.cur)]]
-                    )
-                    loader.load(i, len(bucket), activated)
-                sim.bucket_execs += 1
-                active = bucket
-                while len(active):
-                    if i != b:
-                        # On-demand residency for vertices used this step.
-                        m_cur = store.block_of(active.cur) == i
-                        loader.ensure(active.cur[m_cur])
-                        has_prev = active.prev >= 0
-                        m_prev = has_prev & (
-                            store.block_of(np.maximum(active.prev, 0)) == i
-                        )
-                        loader.ensure(active.prev[m_prev])
-                    t0 = time.perf_counter()
-                    advance(csr, task, active, rec)
-                    sim.steps += len(active)
-                    sim.exec_real_s += time.perf_counter() - t0
-                    _, alive = split_done(task, csr, active)
-                    curb = store.block_of(alive.cur)
-                    out = (curb != b) & (curb != i)
-                    leaving = alive.select(out)
-                    if len(leaving):
-                        _classify_exits(store, pools, ext, leaving, b, i)
-                    active = alive.select(~out)
-                if i != b:
-                    loader.finish()
-            assert ext.is_empty(), "extension buffers must drain within the slot"
-    return EngineResult(name=name, sim=sim, recorder=rec)
+            route = partial(_classify_exits, store, pools, ext, b, i)
+            if i == b:
+                run.bucket(bucket, b, i, route)
+                continue
+            activated = np.concatenate([
+                bucket.prev[store.block_of(bucket.prev) == i],
+                bucket.cur[store.block_of(bucket.cur) == i],
+            ])
+            loader.load(i, len(bucket), activated)
+
+            def ensure(active: Walks) -> None:
+                """On-demand residency for the vertices the next step uses."""
+                loader.ensure(active.cur[store.block_of(active.cur) == i])
+                loader.ensure(active.prev[store.block_of(active.prev) == i])
+
+            run.bucket(bucket, b, i, route, before_step=ensure)
+            loader.finish()
+        assert ext.is_empty(), "extension buffers must drain within the slot"
+    return run.result(name)
 
 
 def _classify_exits(
     store: BlockStore,
     pools: WalkPools,
     ext: ExtensionBuffers,
-    leaving: Walks,
     b: int,
     i: int,
+    curb: np.ndarray,
+    leaving: Walks,
 ) -> None:
     """Algorithm 2: re-associate walks that moved out of the resident pair.
 
-    ``leaving`` walks have prev in {b, i} and cur elsewhere. Cases:
+    ``leaving`` walks have prev in {b, i} and cur elsewhere, in blocks
+    ``curb``. Cases:
     cur < b → pool[cur]; b < cur < i → pool[b] if prev∈b else pool[cur];
     cur > i → bucket-extend to bucket[cur] if prev∈b else pool[i]. Every
     pool target equals min(B(prev), B(cur)) — the skewed storage invariant.
     """
-    curb = store.block_of(leaving.cur)
     preb = store.block_of(leaving.prev)
     target = np.empty(len(leaving), dtype=np.int64)
     extend = np.zeros(len(leaving), dtype=bool)

@@ -12,16 +12,12 @@ method:
 """
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult, WalkPools, make_recorder, split_done
+from repro.engines.base import EngineResult, EngineRun
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import Scheduler, make_scheduler
-from repro.walks.models import WalkTask, advance
+from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
 
@@ -41,72 +37,25 @@ def run_first_order(
 ) -> EngineResult:
     if not task.first_order:
         raise ValueError("run_first_order requires a first-order task")
-    csr = store.csr
-    sim = sim or DiskSim(params=store.params)
-    sched = make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    sched.reset()
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, store.n_blocks)
+    run = EngineRun(
+        store, task, starts, sim, record_paths=record_paths, record_visits=record_visits
+    )
+    sim, pools = run.sim, run.pools
+    sched = make_scheduler(scheduler)
     loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
 
-    _, live = split_done(task, csr, starts)
-    pools.add_grouped(store.block_of(live.cur), live)
-
     last = -1
-    while pools.total():
-        b = sched.pick(pools)
-        if b is None:
-            break
+    while (b := sched.pick(pools)) is not None:
         sim.time_slots += 1
         active = pools.pop(b)
         if b == last and not len(active):
             continue
+        last = b
         if not len(active):
-            # Alphabet pays for loading a walk-less block.
-            if store.physical:
-                store.read_block(b)
-            sim.charge_block_load(b, store.block_bytes(b))
-            last = b
+            store.load_block(b, sim)  # Alphabet pays for loading a walk-less block
             continue
         loader.load(b, len(active), active.cur)
-        last = b
-        sim.bucket_execs += 1
-        while len(active):
-            loader.ensure(active.cur[store.block_of(active.cur) == b])
-            t0 = time.perf_counter()
-            advance(csr, task, active, rec)
-            sim.steps += len(active)
-            sim.exec_real_s += time.perf_counter() - t0
-            _, alive = split_done(task, csr, active)
-            curb = store.block_of(alive.cur)
-            out = curb != b
-            leaving = alive.select(out)
-            pools.add_grouped(curb[out], leaving)
-            active = alive.select(~out)
+        # A walk steps only while its current vertex is in b: ensure it all.
+        run.bucket(active, b, b, pools.add_grouped, before_step=lambda a: loader.ensure(a.cur))
         loader.finish()
-    return EngineResult(name=name, sim=sim, recorder=rec)
-
-
-def graphwalker_engine(store, task, starts, **kw) -> EngineResult:
-    """GraphWalker baseline: state-aware scheduling, full load."""
-    return run_first_order(
-        store, task, starts, scheduler="graphwalker", loading=FULL,
-        name="GraphWalker", **kw,
-    )
-
-
-def grasorw_first_order(
-    store,
-    task,
-    starts,
-    *,
-    load_model: LearnedLoadModel | None = None,
-    **kw,
-) -> EngineResult:
-    """GraSorw first-order mode: Iteration scheduling (+ optional LBL)."""
-    loading = "learned" if load_model is not None else FULL
-    name = "GraSorw" if load_model is not None else "GraSorw-No-LBL"
-    return run_first_order(
-        store, task, starts, scheduler="iteration", loading=loading,
-        load_model=load_model, name=name, **kw,
-    )
+    return run.result(name)

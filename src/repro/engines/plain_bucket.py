@@ -12,15 +12,13 @@ rather than sequential ancillary loads.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult, WalkPools, make_recorder, split_done
+from repro.engines.base import EngineResult, EngineRun
 from repro.engines.scheduling import Scheduler, make_scheduler
-from repro.walks.models import WalkTask, advance
+from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
 
@@ -34,49 +32,26 @@ def run_plain_bucket(
     record_paths: bool = False,
     record_visits: bool = False,
 ) -> EngineResult:
-    csr = store.csr
-    sim = sim or DiskSim(params=store.params)
-    sched = make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    sched.reset()
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, store.n_blocks)
-
-    _, live = split_done(task, csr, starts)
-    pools.add_grouped(store.block_of(live.cur), live)
+    run = EngineRun(
+        store, task, starts, sim, record_paths=record_paths, record_visits=record_visits
+    )
+    sim, pools = run.sim, run.pools
+    sched = make_scheduler(scheduler)
 
     last_current = -1
-    while pools.total():
-        b = sched.pick(pools)
-        if b is None:
-            break
+    while (b := sched.pick(pools)) is not None:
         if b != last_current:
-            if store.physical:
-                store.read_block(b)
-            sim.charge_block_load(b, store.block_bytes(b))
+            store.load_block(b, sim)
         last_current = b
         sim.time_slots += 1
         walks = pools.pop(b)
         if not len(walks):
             continue
         # Buckets by previous block; hop-0 walks form the self-bucket b.
-        prev_b = np.where(walks.prev < 0, b, store.block_of(np.maximum(walks.prev, 0)))
+        prev_b = store.block_of(walks.prev)
+        prev_b[prev_b < 0] = b
         for i in sorted(int(x) for x in np.unique(prev_b)):
-            bucket = walks.select(prev_b == i)
             if i != b:  # self-bucket needs no ancillary block
-                if store.physical:
-                    store.read_block(i)
-                sim.charge_block_load(i, store.block_bytes(i))
-            sim.bucket_execs += 1
-            active = bucket
-            while len(active):
-                t0 = time.perf_counter()
-                advance(csr, task, active, rec)
-                sim.steps += len(active)
-                sim.exec_real_s += time.perf_counter() - t0
-                _, alive = split_done(task, csr, active)
-                curb = store.block_of(alive.cur)
-                out = (curb != b) & (curb != i)
-                leaving = alive.select(out)
-                pools.add_grouped(store.block_of(leaving.cur), leaving)
-                active = alive.select(~out)
-    return EngineResult(name="PB", sim=sim, recorder=rec)
+                store.load_block(i, sim)
+            run.bucket(walks.select(prev_b == i), b, i, pools.add_grouped)
+    return run.result("PB")

@@ -26,11 +26,11 @@ SALT_SCHED = 9
 
 
 class Scheduler:
-    """Picks the next current block; returns None when no walks remain."""
+    """Picks the next current block; returns None when no walks remain.
 
-    #: if False, the strategy may select (and the engine must load) a block
-    #: whose pool is empty — the Alphabet behaviour.
-    skip_empty: bool = True
+    A strategy may pick a block whose pool is empty (Alphabet does); the
+    engine then pays for loading it.
+    """
 
     def pick(self, pools: WalkPools) -> int | None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -41,8 +41,6 @@ class Scheduler:
 
 class AlphabetScheduler(Scheduler):
     """Cycle 0..N_B-1 without skipping empty blocks."""
-
-    skip_empty = False
 
     def __init__(self) -> None:
         self._next = 0
@@ -129,8 +127,12 @@ SCHEDULERS: dict[str, type[Scheduler] | None] = {
 }
 
 
-def make_scheduler(name: str) -> Scheduler:
+def make_scheduler(spec: Scheduler | str) -> Scheduler:
+    """A ready-to-run scheduler: a new one by name, or ``spec`` itself, reset."""
+    if isinstance(spec, Scheduler):
+        spec.reset()
+        return spec
     try:
-        return SCHEDULERS[name]()  # type: ignore[misc]
+        return SCHEDULERS[spec]()  # type: ignore[misc]
     except KeyError:
-        raise ValueError(f"unknown scheduler {name!r}; one of {sorted(SCHEDULERS)}")
+        raise ValueError(f"unknown scheduler {spec!r}; one of {sorted(SCHEDULERS)}")

@@ -13,21 +13,13 @@ non-resident previous vertex.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import (
-    BlockSlots,
-    EngineResult,
-    WalkPools,
-    make_recorder,
-    split_done,
-)
+from repro.engines.base import BlockSlots, EngineResult, EngineRun
 from repro.engines.scheduling import Scheduler, make_scheduler
-from repro.walks.models import WalkTask, advance
+from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
 
@@ -48,42 +40,27 @@ def run_sogw(
     ``static_cache`` is a boolean per-vertex array: True = the vertex's
     adjacency is pinned in memory, so no vertex I/O is needed for it.
     """
-    csr = store.csr
-    sim = sim or DiskSim(params=store.params)
-    sched = make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    sched.reset()
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, store.n_blocks)
+    run = EngineRun(
+        store, task, starts, sim, record_paths=record_paths, record_visits=record_visits
+    )
+    sim, pools = run.sim, run.pools
+    sched = make_scheduler(scheduler)
     slots = BlockSlots(store, sim, n_slots=2)
 
-    _, live = split_done(task, csr, starts)
-    pools.add_grouped(store.block_of(live.cur), live)
+    def fetch_prev(active: Walks) -> None:
+        """Light vertex I/Os: previous vertex not resident and not cached."""
+        need = (active.prev >= 0) & ~slots.has_block(store.block_of(active.prev))
+        if static_cache is not None:
+            need &= ~static_cache[np.maximum(active.prev, 0)]
+        sim.charge_vertex_fetch(store.vertex_seg_bytes(active.prev[need]))
 
-    while pools.total():
-        b = sched.pick(pools)
-        if b is None:
-            break
+    while (b := sched.pick(pools)) is not None:
         slots.ensure(b)
         sim.time_slots += 1
         if pools.counts[b] == 0:
             continue  # Alphabet may schedule (and pay for) an empty block
-        active = pools.pop(b)
-        sim.bucket_execs += 1
-        while len(active):
-            t0 = time.perf_counter()
-            # Light vertex I/Os: previous vertex not resident and not cached.
-            if not task.first_order:
-                has_prev = active.prev >= 0
-                need = has_prev & ~slots.has_block(store.block_of(active.prev))
-                if static_cache is not None:
-                    need &= ~static_cache[np.maximum(active.prev, 0)]
-                sim.charge_vertex_fetch(store.vertex_seg_bytes(active.prev[need]))
-            advance(csr, task, active, rec)
-            sim.steps += len(active)
-            sim.exec_real_s += time.perf_counter() - t0
-            _, alive = split_done(task, csr, active)
-            out = store.block_of(alive.cur) != b
-            leaving = alive.select(out)
-            pools.add_grouped(store.block_of(leaving.cur), leaving)
-            active = alive.select(~out)
-    return EngineResult(name=name, sim=sim, recorder=rec)
+        run.bucket(
+            pools.pop(b), b, b, pools.add_grouped,
+            before_step=None if task.first_order else fetch_prev,
+        )
+    return run.result(name)

@@ -41,7 +41,10 @@ class Partition:
         return int(self.block_starts[-1])
 
     def block_of(self, v) -> np.ndarray:
-        """Block id of each vertex id in ``v`` (array or scalar)."""
+        """Block id of each vertex id in ``v`` (array or scalar).
+
+        ``-1`` (a walk's "no previous vertex" marker) maps to block ``-1``,
+        because ``block_starts[0] == 0``; engines rely on this."""
         return np.searchsorted(self.block_starts, np.asarray(v), side="right") - 1
 
     def block_slice(self, b: int) -> tuple[int, int]:

@@ -59,8 +59,5 @@ class ExtensionBuffers:
         parts = self._buf.pop(bucket_id, [])
         return Walks.concat(parts)
 
-    def pending_ids(self) -> list[int]:
-        return sorted(self._buf.keys())
-
     def is_empty(self) -> bool:
-        return not any(len(Walks.concat(v)) for v in self._buf.values())
+        return not self._buf

@@ -74,8 +74,3 @@ class TestExtensionBuffers:
         ext.add(np.array([3]), _mk([1], [3]))
         ext.add(np.array([3]), _mk([1], [3]))
         assert len(ext.drain(3)) == 2
-
-    def test_pending_ids(self):
-        ext = ExtensionBuffers()
-        ext.add(np.array([7, 2]), _mk([0, 0], [7, 2]))
-        assert ext.pending_ids() == [2, 7]

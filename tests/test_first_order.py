@@ -3,13 +3,10 @@ GraSorw-No-LBL and GraSorw first-order modes."""
 import numpy as np
 import pytest
 
+from repro.core.grasorw import GraphSystem
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.first_order import (
-    graphwalker_engine,
-    grasorw_first_order,
-    run_first_order,
-)
+from repro.engines.first_order import run_first_order
 from repro.engines.loading import FULL, LearnedLoadModel, LoadLogs
 from repro.walks.models import WalkTask
 from repro.walks.reference import reference_walk
@@ -28,12 +25,16 @@ def test_requires_first_order_task():
         run_first_order(store, WalkTask(max_len=5), all_vertex_starts(store.csr, 1))
 
 
-@pytest.mark.parametrize("engine", [graphwalker_engine, grasorw_first_order])
+@pytest.mark.parametrize(
+    "engine", ["GraphWalker", "GraSorw-FO"], ids=["graphwalker_engine", "grasorw_first_order"]
+)
 def test_parity_with_reference(engine):
     store = _store(seed=1)
     task = WalkTask(max_len=10, first_order=True, seed=1)
     ref = reference_walk(store.csr, task, all_vertex_starts(store.csr, 2))
-    res = engine(store, task, all_vertex_starts(store.csr, 2), record_paths=True)
+    res = GraphSystem(store=store).run(
+        engine, task, all_vertex_starts(store.csr, 2), record_paths=True
+    )
     assert np.array_equal(res.recorder.paths, ref.paths)
 
 
@@ -69,8 +70,8 @@ def test_lbl_training_and_run():
             loading=mode, load_logs=logs,
         )
     model = LearnedLoadModel.fit(logs, store.n_blocks)
-    res = grasorw_first_order(
-        store, task, all_vertex_starts(store.csr, 2), load_model=model,
+    res = GraphSystem(store=store).run(
+        "GraSorw-FO", task, all_vertex_starts(store.csr, 2), load_model=model,
         record_paths=True,
     )
     assert res.name == "GraSorw"
@@ -81,11 +82,9 @@ def test_lbl_training_and_run():
 def test_engine_names():
     store = _store(seed=5)
     task = WalkTask(max_len=4, first_order=True, seed=5)
-    assert graphwalker_engine(store, task, all_vertex_starts(store.csr, 1)).name == "GraphWalker"
-    assert (
-        grasorw_first_order(store, task, all_vertex_starts(store.csr, 1)).name
-        == "GraSorw-No-LBL"
-    )
+    system = GraphSystem(store=store)
+    assert system.run("GraphWalker", task, all_vertex_starts(store.csr, 1)).name == "GraphWalker"
+    assert system.run("GraSorw-FO", task, all_vertex_starts(store.csr, 1)).name == "GraSorw-No-LBL"
 
 
 def test_iteration_vs_graphwalker_block_io():

@@ -22,7 +22,7 @@ class TestPartitionGeometry:
     def test_block_of(self):
         p = Partition(np.array([0, 10, 25, 40]))
         assert p.n_blocks == 3
-        assert list(p.block_of(np.array([0, 9, 10, 24, 25, 39]))) == [0, 0, 1, 1, 2, 2]
+        assert list(p.block_of(np.array([-1, 0, 9, 10, 24, 25, 39]))) == [-1, 0, 0, 1, 1, 2, 2]
 
     def test_block_slice(self):
         p = Partition(np.array([0, 10, 25, 40]))
