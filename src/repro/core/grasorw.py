@@ -95,9 +95,11 @@ class GraphSystem:
         record_paths: bool = False,
         **kw,
     ) -> EngineResult:
-        """Run one engine. Engines: SOGW, SGSC, PB, GraSorw (bi-block),
-        GraSorw-full / GraSorw-ondemand (forced loading), GraphWalker,
-        GraSorw-FO / GraSorw-FO-No-LBL (first-order modes)."""
+        """Run one engine: SOGW, SGSC, PB, GraSorw (bi-block), GraphWalker or
+        GraSorw-FO (first-order). For GraSorw and GraSorw-FO, ``loading``
+        forces "full" or "ondemand"; by default they use learned loading
+        when ``load_model`` is given, else full. GraSorw-FO reports itself
+        as "GraSorw" with learned loading and "GraSorw-No-LBL" otherwise."""
         sim = self.new_sim()
         if engine == "SOGW":
             return run_sogw(self.store, task, starts, sim=sim, record_paths=record_paths, **kw)

@@ -44,15 +44,9 @@ class WalkPools:
         if not len(walks):
             return
         self._sim.charge_walk_io(len(walks))
-        lo = int(block_per_walk[0])
-        if len(walks) == 1 or (block_per_walk == lo).all():
-            self._pools[lo].append(walks)
-            self.counts[lo] += len(walks)
-            return
-        for b in np.unique(block_per_walk):
-            sel = walks.select(block_per_walk == b)
-            self._pools[int(b)].append(sel)
-            self.counts[int(b)] += len(sel)
+        for b, group in walks.groups(block_per_walk):
+            self._pools[b].append(group)
+            self.counts[b] += len(group)
 
     def pop(self, b: int) -> Walks:
         """Load and clear pool ``b`` (charged as sequential walk I/O)."""
@@ -112,12 +106,11 @@ class EngineResult:
         return {"engine": self.name, **self.sim.snapshot()}
 
 
-def split_done(task: WalkTask, csr: CSR, walks: Walks) -> tuple[Walks, Walks]:
-    """(finished, live) split by the deterministic termination rule."""
+def split_done(task: WalkTask, csr: CSR, walks: Walks) -> Walks:
+    """The walks that are not finished under the deterministic termination rule."""
     if not len(walks):
-        return walks, walks
-    d = done_mask(task, csr, walks)
-    return walks.select(d), walks.select(~d)
+        return walks
+    return walks.select(~done_mask(task, csr, walks))
 
 
 class EngineRun:
@@ -150,7 +143,7 @@ class EngineRun:
             )
             self.rec.on_start(starts)
         self.pools = WalkPools(self.sim, store.n_blocks)
-        _, live = split_done(task, store.csr, starts)
+        live = split_done(task, store.csr, starts)
         self.pools.add_grouped(home(live) if home else store.block_of(live.cur), live)
 
     def bucket(
@@ -176,7 +169,7 @@ class EngineRun:
             advance(csr, task, active, self.rec)
             sim.exec_real_s += time.perf_counter() - t0
             sim.steps += len(active)
-            _, active = split_done(task, csr, active)
+            active = split_done(task, csr, active)
             curb = self.store.block_of(active.cur)
             out = (curb != b) & (curb != i)
             if out.any():

@@ -58,9 +58,14 @@ def run_bi_block(
     sched = IterationScheduler()
     loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
 
+    def ensure(active: Walks) -> None:
+        """On-demand residency for the vertices the next step uses."""
+        loader.ensure(active.cur)
+        loader.ensure(active.prev)
+
     while (b := sched.pick(pools)) is not None:
         walks = pools.pop(b)
-        buckets = collect_buckets(walks, store.block_of(walks.prev), store.block_of(walks.cur), b)
+        buckets = collect_buckets(walks, store.block_of(walks.prev), store.block_of(walks.cur))
         ext = ExtensionBuffers()
         store.load_block(b, sim)  # current: always full
         sim.time_slots += 1
@@ -74,17 +79,7 @@ def run_bi_block(
             if i == b:
                 run.bucket(bucket, b, i, route)
                 continue
-            activated = np.concatenate([
-                bucket.prev[store.block_of(bucket.prev) == i],
-                bucket.cur[store.block_of(bucket.cur) == i],
-            ])
-            loader.load(i, len(bucket), activated)
-
-            def ensure(active: Walks) -> None:
-                """On-demand residency for the vertices the next step uses."""
-                loader.ensure(active.cur[store.block_of(active.cur) == i])
-                loader.ensure(active.prev[store.block_of(active.prev) == i])
-
+            loader.load(i, len(bucket), np.concatenate([bucket.prev, bucket.cur]))
             run.bucket(bucket, b, i, route, before_step=ensure)
             loader.finish()
         assert ext.is_empty(), "extension buffers must drain within the slot"
@@ -100,30 +95,18 @@ def _classify_exits(
     curb: np.ndarray,
     leaving: Walks,
 ) -> None:
-    """Algorithm 2: re-associate walks that moved out of the resident pair.
+    """Algorithm 2: re-associate walks that moved out of the resident pair
+    (blocks ``curb`` are outside {b, i}).
 
-    ``leaving`` walks have prev in {b, i} and cur elsewhere, in blocks
-    ``curb``. Cases:
-    cur < b → pool[cur]; b < cur < i → pool[b] if prev∈b else pool[cur];
-    cur > i → bucket-extend to bucket[cur] if prev∈b else pool[i]. Every
-    pool target equals min(B(prev), B(cur)) — the skewed storage invariant.
+    A walk's home is its skewed-storage block ``min(B(prev), B(cur))``. A
+    walk whose home is still ``b`` and whose bucket ``B(cur)`` comes later
+    in this slot (``> i``) is bucket-extended into it; every other walk
+    goes to the pool of its home.
     """
-    preb = store.block_of(leaving.prev)
-    target = np.empty(len(leaving), dtype=np.int64)
-    extend = np.zeros(len(leaving), dtype=bool)
-
-    lo = curb < b
-    target[lo] = curb[lo]
-    mid = (curb > b) & (curb < i)
-    target[mid & (preb == b)] = b
-    target[mid & (preb != b)] = curb[mid & (preb != b)]
-    hi = curb > i
-    hi_ext = hi & (preb == b)
-    extend[hi_ext] = True
-    target[hi & ~hi_ext] = i
-
+    home = skewed_block_of(store.block_of(leaving.prev), curb)
+    extend = (home == b) & (curb > i)
     if extend.any():
         ext.add(curb[extend], leaving.select(extend))
     rest = ~extend
     if rest.any():
-        pools.add_grouped(target[rest], leaving.select(rest))
+        pools.add_grouped(home[rest], leaving.select(rest))

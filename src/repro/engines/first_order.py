@@ -16,7 +16,7 @@ from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import EngineResult, EngineRun
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
-from repro.engines.scheduling import Scheduler, make_scheduler
+from repro.engines.scheduling import make_scheduler
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
@@ -27,7 +27,7 @@ def run_first_order(
     starts: Walks,
     *,
     sim: DiskSim | None = None,
-    scheduler: Scheduler | str = "graphwalker",
+    scheduler: str = "graphwalker",
     loading: str = FULL,
     load_model: LearnedLoadModel | None = None,
     load_logs: LoadLogs | None = None,

@@ -62,15 +62,11 @@ class LoadLogs:
         )
 
 
-def fit_line(x: np.ndarray, y: np.ndarray, *, intercept: bool) -> tuple[float, float]:
-    """Least-squares fit y = a·x (+ b). Returns (a, b)."""
-    if intercept:
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return float(sol[0]), float(sol[1])
-    denom = float(np.dot(x, x))
-    a = float(np.dot(x, y) / denom) if denom > 0 else 0.0
-    return a, 0.0
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares fit y = a·x + b. Returns (a, b)."""
+    A = np.stack([x, np.ones_like(x)], axis=1)
+    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(sol[0]), float(sol[1])
 
 
 @dataclass
@@ -92,8 +88,8 @@ class LearnedLoadModel:
         def fit_for(sel_f: np.ndarray, sel_o: np.ndarray):
             if sel_f.sum() < 1 or sel_o.sum() < 1:
                 return None
-            a_f, b_f = fit_line(eta[sel_f], t[sel_f], intercept=True)
-            a_o, b_o = fit_line(eta[sel_o], t[sel_o], intercept=True)
+            a_f, b_f = fit_line(eta[sel_f], t[sel_f])
+            a_o, b_o = fit_line(eta[sel_o], t[sel_o])
             return a_f, b_f, a_o, max(0.0, b_o)
 
         g = fit_for(full_m, od_m)  # global fallback
@@ -129,6 +125,8 @@ class BlockLoader:
     For on-demand loads it tracks which vertices of the block are resident
     so later ``ensure`` calls only fetch (and charge) newly activated
     vertices — the paper's "get its CSR segmentation solely from disk".
+    Vertices outside the loaded block are ignored, so callers may pass any
+    walk's ``prev``/``cur``.
     """
 
     def __init__(
@@ -149,15 +147,15 @@ class BlockLoader:
         self.logs = logs
         self._bid: int | None = None
         self._loaded: np.ndarray | None = None  # None = fully loaded
-        self._lo = 0
+        self._lo = self._hi = 0
         self._t_start = 0.0
         self._eta = 0.0
         self._chosen = FULL
 
     def load(self, bid: int, walks_count: int, activated: np.ndarray) -> str:
         """Load block ``bid`` for a bucket of ``walks_count`` walks whose
-        activated vertices inside the block are ``activated``. Returns the
-        loading method actually used."""
+        activated vertices are ``activated`` (those outside the block are
+        ignored). Returns the loading method actually used."""
         lo, hi = self.store.part.block_slice(bid)
         nv = max(1, hi - lo)
         eta = walks_count / nv
@@ -165,7 +163,7 @@ class BlockLoader:
         if self.mode == LEARNED:
             chosen = self.model.choose(bid, eta)
         self._bid = bid
-        self._lo = lo
+        self._lo, self._hi = lo, hi
         self._eta = eta
         self._chosen = chosen
         self._t_start = self.sim.block_io_s + self.sim.ondemand_io_s
@@ -180,11 +178,13 @@ class BlockLoader:
         return chosen
 
     def ensure(self, vs: np.ndarray) -> None:
-        """Make vertices ``vs`` (global ids inside the block) resident,
-        charging a light on-demand read for each newly activated vertex."""
-        if self._loaded is None or len(vs) == 0:
+        """Make the vertices of ``vs`` (global ids) that lie in the loaded
+        block resident, charging a light on-demand read for each newly
+        activated one."""
+        if self._loaded is None:
             return
-        local = np.unique(np.asarray(vs, dtype=np.int64)) - self._lo
+        vs = np.asarray(vs, dtype=np.int64)
+        local = np.unique(vs[(vs >= self._lo) & (vs < self._hi)]) - self._lo
         need = local[~self._loaded[local]]
         if len(need):
             self.sim.charge_vertex_fetch(

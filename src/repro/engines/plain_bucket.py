@@ -12,12 +12,10 @@ rather than sequential ancillary loads.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import EngineResult, EngineRun
-from repro.engines.scheduling import Scheduler, make_scheduler
+from repro.engines.scheduling import make_scheduler
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
@@ -28,7 +26,7 @@ def run_plain_bucket(
     starts: Walks,
     *,
     sim: DiskSim | None = None,
-    scheduler: Scheduler | str = "max_sum",
+    scheduler: str = "max_sum",
     record_paths: bool = False,
     record_visits: bool = False,
 ) -> EngineResult:
@@ -50,8 +48,8 @@ def run_plain_bucket(
         # Buckets by previous block; hop-0 walks form the self-bucket b.
         prev_b = store.block_of(walks.prev)
         prev_b[prev_b < 0] = b
-        for i in sorted(int(x) for x in np.unique(prev_b)):
+        for i, bucket in walks.groups(prev_b):
             if i != b:  # self-bucket needs no ancillary block
                 store.load_block(i, sim)
-            run.bucket(walks.select(prev_b == i), b, i, pools.add_grouped)
+            run.bucket(bucket, b, i, pools.add_grouped)
     return run.result("PB")

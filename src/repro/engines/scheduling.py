@@ -35,17 +35,11 @@ class Scheduler:
     def pick(self, pools: WalkPools) -> int | None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def reset(self) -> None:
-        pass
-
 
 class AlphabetScheduler(Scheduler):
     """Cycle 0..N_B-1 without skipping empty blocks."""
 
     def __init__(self) -> None:
-        self._next = 0
-
-    def reset(self) -> None:
         self._next = 0
 
     def pick(self, pools: WalkPools) -> int | None:
@@ -60,9 +54,6 @@ class IterationScheduler(Scheduler):
     """Cycle 0..N_B-1, skipping blocks with no pooled walks."""
 
     def __init__(self) -> None:
-        self._next = 0
-
-    def reset(self) -> None:
         self._next = 0
 
     def pick(self, pools: WalkPools) -> int | None:
@@ -107,9 +98,6 @@ class GraphWalkerScheduler(Scheduler):
         self._max = MaxSumScheduler()
         self._min = MinHeightScheduler()
 
-    def reset(self) -> None:
-        self._counter = 0
-
     def pick(self, pools: WalkPools) -> int | None:
         if pools.total() == 0:
             return None
@@ -118,7 +106,7 @@ class GraphWalkerScheduler(Scheduler):
         return self._max.pick(pools) if u < self.p else self._min.pick(pools)
 
 
-SCHEDULERS: dict[str, type[Scheduler] | None] = {
+SCHEDULERS: dict[str, type[Scheduler]] = {
     "alphabet": AlphabetScheduler,
     "iteration": IterationScheduler,
     "min_height": MinHeightScheduler,
@@ -127,12 +115,9 @@ SCHEDULERS: dict[str, type[Scheduler] | None] = {
 }
 
 
-def make_scheduler(spec: Scheduler | str) -> Scheduler:
-    """A ready-to-run scheduler: a new one by name, or ``spec`` itself, reset."""
-    if isinstance(spec, Scheduler):
-        spec.reset()
-        return spec
+def make_scheduler(name: str) -> Scheduler:
+    """A new scheduler by name."""
     try:
-        return SCHEDULERS[spec]()  # type: ignore[misc]
+        return SCHEDULERS[name]()
     except KeyError:
-        raise ValueError(f"unknown scheduler {spec!r}; one of {sorted(SCHEDULERS)}")
+        raise ValueError(f"unknown scheduler {name!r}; one of {sorted(SCHEDULERS)}")

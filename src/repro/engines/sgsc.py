@@ -15,7 +15,6 @@ import numpy as np
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import EngineResult
-from repro.engines.scheduling import Scheduler
 from repro.engines.sogw import run_sogw
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
@@ -47,7 +46,7 @@ def run_sgsc(
     starts: Walks,
     *,
     sim: DiskSim | None = None,
-    scheduler: Scheduler | str = "max_sum",
+    scheduler: str = "max_sum",
     record_paths: bool = False,
     record_visits: bool = False,
 ) -> EngineResult:

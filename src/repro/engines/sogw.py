@@ -18,7 +18,7 @@ import numpy as np
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import BlockSlots, EngineResult, EngineRun
-from repro.engines.scheduling import Scheduler, make_scheduler
+from repro.engines.scheduling import make_scheduler
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
@@ -29,7 +29,7 @@ def run_sogw(
     starts: Walks,
     *,
     sim: DiskSim | None = None,
-    scheduler: Scheduler | str = "max_sum",
+    scheduler: str = "max_sum",
     static_cache: np.ndarray | None = None,
     record_paths: bool = False,
     record_visits: bool = False,

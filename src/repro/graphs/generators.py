@@ -78,27 +78,6 @@ def er_pairs_graph(spark: SparkSession, n: int, m: int, seed: int = 0) -> DataFr
     return _canonicalize(_pair_hash_edges(spark, draws, fn))
 
 
-def gnp_graph(spark: SparkSession, n: int, p: float, seed: int = 0) -> DataFrame:
-    """Exact Bernoulli G(n, p): every pair i<j kept iff hash(i,j) < p.
-
-    O(n^2) candidate pairs — use only for dense graphs with n <= ~6000.
-    """
-    pairs = (
-        spark.range(n)
-        .select(F.col("id").alias("src"))
-        .join(spark.range(n).select(F.col("id").alias("dst")), F.col("src") < F.col("dst"))
-    )
-
-    def gen(batches):
-        for pdf in batches:
-            s = pdf["src"].to_numpy(np.int64)
-            d = pdf["dst"].to_numpy(np.int64)
-            keep = unit_hash(seed, s * np.int64(n) + d, np.zeros_like(s), salt=21) < p
-            yield pdf[keep]
-
-    return pairs.mapInPandas(gen, "src long, dst long")
-
-
 def circulant_graph(spark: SparkSession, n: int, offsets: list[int]) -> DataFrame:
     """Circulant graph: vertex v connects to (v ± k) mod n for k in offsets."""
     offs = spark.createDataFrame(pd.DataFrame({"off": sorted(set(offsets))}))

@@ -1,12 +1,12 @@
 """Bucket-based in-memory walk management (§4.3.2, Eq. 4).
 
 When block ``b`` is the current block, its (skewed-storage) walk pool is
-split into buckets keyed by the *other* block of each walk: bucket
-``B(cur)`` if the previous vertex is in ``b``, else bucket ``B(prev)``
-(Algorithm 1, lines 4–10). Walks that have not taken their first step yet
-(``prev == -1``) need only the current block and go into the self-bucket
-``b`` — the execution engine processes it first, with no ancillary block,
-which realizes the paper's initialization stage.
+split into buckets keyed by the *other* block of each walk,
+``max(B(prev), B(cur))`` (Algorithm 1, lines 4–10). Walks that have not
+taken their first step yet (``prev == -1``, so ``B(prev) == -1``) need only
+the current block and go into the self-bucket ``b`` — the execution engine
+processes it first, with no ancillary block, which realizes the paper's
+initialization stage.
 
 Combined with skewed storage, every bucket key ``p`` of pool ``b`` satisfies
 ``p >= b`` (triangular property): this is what lets the triangular schedule
@@ -24,17 +24,11 @@ from repro.walks.state import Walks
 
 
 def collect_buckets(
-    walks: Walks, prev_block: np.ndarray, cur_block: np.ndarray, b: int
+    walks: Walks, prev_block: np.ndarray, cur_block: np.ndarray
 ) -> dict[int, Walks]:
-    """Split current walks into buckets per Eq. 4 (self-bucket ``b`` for
-    hop-0 walks). Returns {bucket_id: Walks}, bucket ids >= b."""
-    key = np.where(
-        prev_block < 0, b, np.where(prev_block == b, cur_block, prev_block)
-    )
-    out: dict[int, Walks] = {}
-    for k in np.unique(key):
-        out[int(k)] = walks.select(key == k)
-    return out
+    """Split a pool's walks into buckets per Eq. 4: {bucket_id: Walks},
+    keyed by ``max(prev_block, cur_block)``."""
+    return dict(walks.groups(np.maximum(prev_block, cur_block)))
 
 
 class ExtensionBuffers:
@@ -49,10 +43,8 @@ class ExtensionBuffers:
         self._buf: dict[int, list[Walks]] = {}
 
     def add(self, bucket_id_per_walk: np.ndarray, walks: Walks) -> None:
-        for k in np.unique(bucket_id_per_walk):
-            self._buf.setdefault(int(k), []).append(
-                walks.select(bucket_id_per_walk == k)
-            )
+        for k, group in walks.groups(bucket_id_per_walk):
+            self._buf.setdefault(k, []).append(group)
 
     def drain(self, bucket_id: int) -> Walks:
         """Merge and remove everything staged for ``bucket_id``."""

@@ -2,7 +2,8 @@
 (Fig. 7), and the skewed walk storage rule (§4.3.1).
 
 Engines manipulate walks as a :class:`Walks` bundle of parallel int64 arrays
-(the vectorized analogue of the paper's walk structs). The 128-bit
+(the vectorized analogue of the paper's walk structs); :meth:`Walks.groups`
+is the one way a batch is split by block. The 128-bit
 ``encode``/``decode`` pair reproduces the paper's on-disk representation —
 source vertex, previous vertex, current-vertex block offset, previous/current
 block ids and hop count packed into two 64-bit words — and is exercised by
@@ -74,13 +75,28 @@ class Walks:
             self.wid[mask], self.src[mask], self.prev[mask], self.cur[mask], self.hop[mask]
         )
 
+    def groups(self, key: np.ndarray) -> list[tuple[int, "Walks"]]:
+        """Split the batch by ``key`` (one int per walk): ``(k, walks)``
+        pairs in ascending ``k``, each group in the batch's order. One
+        stable argsort; every group is its own copy."""
+        if not len(key):
+            return []
+        order = np.argsort(key, kind="stable")
+        ks = key[order]
+        cuts = np.flatnonzero(ks[1:] != ks[:-1]) + 1
+        return [
+            (int(ks[at]), self.select(idx))
+            for at, idx in zip(np.r_[0, cuts], np.split(order, cuts))
+        ]
+
     def __len__(self) -> int:
         return len(self.wid)
 
 
 def skewed_block_of(prev_block: np.ndarray, cur_block: np.ndarray) -> np.ndarray:
     """Skewed walk storage rule (§4.3.1): walk w_u^v lives with block
-    ``min(B(u), B(v))``. Walks with no previous vertex (prev_block < 0)
+    ``min(B(u), B(v))``; its bucket (Eq. 4) is the other block,
+    ``max(B(u), B(v))``. Walks with no previous vertex (prev_block < 0)
     live with their current block."""
     return np.where(prev_block < 0, cur_block, np.minimum(prev_block, cur_block))
 

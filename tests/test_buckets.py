@@ -23,7 +23,7 @@ class TestCollectBuckets:
         prev_b = np.array([2, 2, 5, 7, -1])
         cur_b = np.array([4, 6, 2, 2, 2])
         walks = _mk(prev_b, cur_b)
-        buckets = collect_buckets(walks, prev_b, cur_b, b=2)
+        buckets = collect_buckets(walks, prev_b, cur_b)
         assert set(buckets) == {4, 6, 5, 7, 2}
         assert buckets[4].wid.tolist() == [0]
         assert buckets[6].wid.tolist() == [1]
@@ -40,7 +40,7 @@ class TestCollectBuckets:
         prev_b = np.where(flip, b, other)
         cur_b = np.where(flip, other, b)
         walks = _mk(prev_b, cur_b)
-        buckets = collect_buckets(walks, prev_b, cur_b, b=b)
+        buckets = collect_buckets(walks, prev_b, cur_b)
         assert all(k > b for k in buckets)
         assert sum(len(w) for w in buckets.values()) == 50
 
@@ -48,7 +48,7 @@ class TestCollectBuckets:
         prev_b = np.array([1, 1, 2, -1, 3])
         cur_b = np.array([2, 3, 1, 1, 1])
         walks = _mk(prev_b, cur_b)
-        buckets = collect_buckets(walks, prev_b, cur_b, b=1)
+        buckets = collect_buckets(walks, prev_b, cur_b)
         got = sorted(w for ws in buckets.values() for w in ws.wid.tolist())
         assert got == [0, 1, 2, 3, 4]
 

@@ -18,9 +18,6 @@ class TestCanonicalForm:
     def test_er(self, spark):
         _assert_canonical(G.er_pairs_graph(spark, n=100, m=300, seed=1), 100)
 
-    def test_gnp(self, spark):
-        _assert_canonical(G.gnp_graph(spark, n=60, p=0.2, seed=2), 60)
-
     def test_circulant(self, spark):
         _assert_canonical(G.circulant_graph(spark, n=50, offsets=[1, 2, 5]), 50)
 
@@ -66,12 +63,6 @@ class TestStructure:
     def test_er_edge_count_close(self, spark):
         m = G.er_pairs_graph(spark, n=500, m=2000, seed=21).count()
         assert 1800 <= m <= 2100
-
-    def test_gnp_expected_edges(self, spark):
-        n, p = 80, 0.3
-        m = G.gnp_graph(spark, n=n, p=p, seed=22).count()
-        expect = p * n * (n - 1) / 2
-        assert abs(m - expect) < 5 * np.sqrt(expect * (1 - p))
 
     def test_circulant_regular(self, spark):
         edges = G.circulant_graph(spark, n=64, offsets=[1, 2, 3])

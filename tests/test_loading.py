@@ -28,17 +28,8 @@ class TestFitLine:
     def test_with_intercept(self):
         x = np.linspace(0, 1, 20)
         y = 3.0 * x + 0.5
-        a, b = fit_line(x, y, intercept=True)
+        a, b = fit_line(x, y)
         assert a == pytest.approx(3.0) and b == pytest.approx(0.5)
-
-    def test_without_intercept(self):
-        x = np.linspace(0.1, 1, 10)
-        a, b = fit_line(x, 7.0 * x, intercept=False)
-        assert a == pytest.approx(7.0) and b == 0.0
-
-    def test_degenerate(self):
-        a, b = fit_line(np.zeros(3), np.zeros(3), intercept=False)
-        assert a == 0.0
 
 
 class TestLearnedModel:
@@ -119,6 +110,13 @@ class TestBlockLoader:
         loader.ensure(np.array([lo, lo + 1, lo + 2]))  # only lo+2 is new
         loader.ensure(np.array([lo + 2]))  # already resident
         assert sim.ondemand_io_num == 3
+        # Vertices outside block 0 (and the -1 "no previous vertex") are
+        # ignored: neither charged nor marked resident.
+        hi = store.part.block_slice(0)[1]
+        loader.ensure(np.array([-1, hi, hi + 1]))
+        assert sim.ondemand_io_num == 3
+        loader.ensure(np.array([hi - 1]))  # -1 must not have marked it
+        assert sim.ondemand_io_num == 4
 
     def test_ondemand_bytes_smaller_than_full(self):
         """Fig. 5's point: activating few vertices costs fewer bytes than a

@@ -36,6 +36,30 @@ class TestWalks:
         assert len(Walks.empty()) == 0
 
 
+class TestGroups:
+    def test_ascending_keys_in_group_order_kept(self):
+        w = Walks.from_sources(np.arange(7), np.arange(10, 17))
+        groups = w.groups(np.array([3, 1, 3, 0, 1, 3, 0]))
+        assert [k for k, _ in groups] == [0, 1, 3]
+        assert all(isinstance(k, int) for k, _ in groups)
+        assert [g.wid.tolist() for _, g in groups] == [[3, 6], [1, 4], [0, 2, 5]]
+        assert [g.src.tolist() for _, g in groups] == [[13, 16], [11, 14], [10, 12, 15]]
+
+    def test_groups_are_copies(self):
+        w = Walks.from_sources(np.arange(3), np.arange(3))
+        (_, g), = w.groups(np.array([2, 2, 2]))
+        g.cur[0] = 99
+        assert w.cur[0] == 0
+
+    def test_empty_batch(self):
+        assert Walks.empty().groups(np.empty(0, dtype=np.int64)) == []
+
+    def test_single_key(self):
+        w = Walks.from_sources(np.array([5, 2, 8]), np.array([1, 2, 3]))
+        (k, g), = w.groups(np.array([-1, -1, -1]))
+        assert k == -1 and g.wid.tolist() == [5, 2, 8]
+
+
 class TestSkewedStorage:
     def test_min_rule(self):
         """§4.3.1: walk w_u^v lives with block min(B(u), B(v))."""
