@@ -41,10 +41,20 @@ def _mk_tasks(spec: DatasetSpec):
     return {"RWNV": rwnv, "PRNV": prnv}
 
 
-def _run(system: GraphSystem, engine: str, cfg, **kw) -> EngineResult:
-    task = cfg.task()
-    starts = cfg.starts(system.csr)
-    return system.run(engine, task, starts, **kw)
+def _engine_rows(
+    spark: SparkSession, specs: dict[str, DatasetSpec], datasets: list[str] | None,
+    engines: tuple[str, ...], **kw,
+) -> list[dict]:
+    """One row per dataset (default: all of ``specs``) × benchmark task
+    (RWNV, PRNV) × engine."""
+    rows = []
+    for name in datasets or list(specs):
+        system = get_system(spark, specs[name])
+        for bench, cfg in _mk_tasks(specs[name]).items():
+            for engine in engines:
+                res = system.run(engine, cfg.task(), cfg.starts(system.csr), **kw)
+                rows.append(_row(name, bench, res))
+    return rows
 
 
 def _row(ds: str, bench: str, res: EngineResult) -> dict:
@@ -80,18 +90,8 @@ def run_table3(
     spark: SparkSession, datasets: list[str] | None = None
 ) -> pd.DataFrame:
     """Table 3: plain-bucket (PB) vs bi-block engines, RWNV + PRNV."""
-    names = datasets or list(TABLE2)
-    rows = []
-    for name in names:
-        spec = TABLE2[name]
-        system = get_system(spark, spec)
-        for bench, cfg in _mk_tasks(spec).items():
-            for engine in ("PB", "GraSorw"):
-                res = _run(system, engine, cfg, loading="full")
-                r = _row(name, bench, res)
-                r["engine"] = {"PB": "PB", "GraSorw": "Bi-Block"}[engine]
-                rows.append(r)
-    df = pd.DataFrame(rows)
+    rows = _engine_rows(spark, TABLE2, datasets, ("PB", "GraSorw"), loading="full")
+    df = pd.DataFrame(rows).replace({"engine": {"GraSorw": "Bi-Block"}})
     # Bi-Block / PB ratios, as the paper's parenthesized percentages.
     piv = df.pivot_table(
         index=["dataset", "bench"], columns="engine",
@@ -140,16 +140,9 @@ def run_table6(
     spark: SparkSession, datasets: list[str] | None = None
 ) -> pd.DataFrame:
     """Table 6: SOGW vs SGSC vs GraSorw wall time on the 11 synthetics."""
-    names = datasets or list(TABLE5)
-    rows = []
-    for name in names:
-        spec = TABLE5[name]
-        system = get_system(spark, spec)
-        for bench, cfg in _mk_tasks(spec).items():
-            for engine in ("SOGW", "SGSC", "GraSorw"):
-                res = _run(system, engine, cfg)
-                rows.append(_row(name, bench, res))
-    return pd.DataFrame(rows)
+    return pd.DataFrame(
+        _engine_rows(spark, TABLE5, datasets, ("SOGW", "SGSC", "GraSorw"))
+    )
 
 
 def run_table7(
@@ -198,16 +191,9 @@ def run_e2e(
 ) -> pd.DataFrame:
     """Fig. 8's data as a table: end-to-end SOGW/SGSC/GraSorw on the six
     big-graph lites, RWNV + PRNV."""
-    names = datasets or list(TABLE2)
-    rows = []
-    for name in names:
-        spec = TABLE2[name]
-        system = get_system(spark, spec)
-        for bench, cfg in _mk_tasks(spec).items():
-            for engine in ("SOGW", "SGSC", "GraSorw"):
-                res = _run(system, engine, cfg)
-                rows.append(_row(name, bench, res))
-    df = pd.DataFrame(rows)
+    df = pd.DataFrame(
+        _engine_rows(spark, TABLE2, datasets, ("SOGW", "SGSC", "GraSorw"))
+    )
     base = df[df.engine == "SOGW"].set_index(["dataset", "bench"])["wall_s"]
     df["speedup_vs_SOGW"] = [
         round(float(base.loc[(d, b)]) / max(w, 1e-12), 2)

@@ -66,7 +66,7 @@ class IOParams:
     mem_bw_bps: float = 2e9  # page-cache sequential bandwidth
     # formats
     value_bytes: int = 4  # bytes per CSR index/value (paper Fig. 5)
-    walk_bytes: int = 16  # bytes per encoded walk (paper Fig. 7: 128 bits)
+    walk_bytes: int = 16  # bytes per walk: the size of the paper's Fig. 7 record
 
 
 @dataclass
@@ -128,7 +128,7 @@ class DiskSim:
             raise ValueError(kind)
 
     def charge_walk_io(self, n_walks: int) -> None:
-        """Sequential read/write of ``n_walks`` encoded walks (pool load/flush)."""
+        """Sequential read/write of ``n_walks`` walk records (pool load/flush)."""
         if n_walks == 0:
             return
         p = self.params

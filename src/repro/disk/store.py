@@ -50,6 +50,8 @@ class BlockStore:
     ) -> None:
         if part.n_vertices != csr.n:
             raise ValueError("partition and CSR disagree on vertex count")
+        if physical and physical_dir is None:
+            raise ValueError("physical=True needs a physical_dir to read blocks from")
         self.csr = csr
         self.part = part
         self.params = params or IOParams()
@@ -115,7 +117,7 @@ class BlockStore:
 
     def read_block(self, b: int) -> BlockSlice:
         """Return block ``b``'s CSR slice, from disk if ``physical``."""
-        if self.physical and self.dir is not None:
+        if self.physical:
             with np.load(self._block_path(b)) as z:
                 return BlockSlice(
                     bid=b,

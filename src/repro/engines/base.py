@@ -116,9 +116,10 @@ def split_done(task: WalkTask, csr: CSR, walks: Walks) -> Walks:
 class EngineRun:
     """One engine run: simulator, recorder, walk pools and the stepping loop.
 
-    The start walks that are not already finished are placed in the pool
-    of their home block, ``home(walks)`` (by default the block of the
-    current vertex; bi-block passes the skewed-storage rule).
+    ``starts`` must be unstepped walks (``hop == 0``, ``prev == -1``). The
+    ones that are not already finished are placed in the pool of their
+    current vertex's block, which is also their skewed-storage block
+    (§4.3.1) since they have no previous vertex.
     """
 
     def __init__(
@@ -130,8 +131,9 @@ class EngineRun:
         *,
         record_paths: bool,
         record_visits: bool,
-        home: Callable[[Walks], np.ndarray] | None = None,
     ) -> None:
+        if (starts.hop != 0).any() or (starts.prev != -1).any():
+            raise ValueError("start walks must be unstepped (hop == 0, prev == -1)")
         self.store = store
         self.task = task
         self.sim = sim or DiskSim(params=store.params)
@@ -144,7 +146,7 @@ class EngineRun:
             self.rec.on_start(starts)
         self.pools = WalkPools(self.sim, store.n_blocks)
         live = split_done(task, store.csr, starts)
-        self.pools.add_grouped(home(live) if home else store.block_of(live.cur), live)
+        self.pools.add_grouped(store.block_of(live.cur), live)
 
     def bucket(
         self,

@@ -50,9 +50,7 @@ def run_bi_block(
     """Run the bi-block engine to completion. ``loading`` selects the
     ancillary block loading method: "full", "ondemand" or "learned"."""
     run = EngineRun(
-        store, task, starts, sim, record_paths=record_paths, record_visits=record_visits,
-        # skewed storage (§4.3.1); block_of(-1) == -1 marks "no previous vertex"
-        home=lambda w: skewed_block_of(store.block_of(w.prev), store.block_of(w.cur)),
+        store, task, starts, sim, record_paths=record_paths, record_visits=record_visits
     )
     sim, pools = run.sim, run.pools
     sched = IterationScheduler()

@@ -27,7 +27,15 @@ class CSR:
     n: int
     indptr: np.ndarray  # int64, length n+1
     indices: np.ndarray  # int64, sorted within each row
-    _keys: np.ndarray | None = field(default=None, repr=False)
+    keys: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Sorted arc codes src*n+dst, built with the graph. Built lazily by
+        # the first biased step, this long-lived array lands above the
+        # sampler's freed temporaries and keeps the allocator from returning
+        # them: ~60 MB stayed resident after one Node2vec walk on lj_lite.
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.deg)
+        self.keys = src * np.int64(self.n) + self.indices
 
     @property
     def n_arcs(self) -> int:
@@ -36,14 +44,6 @@ class CSR:
     @property
     def deg(self) -> np.ndarray:
         return self.indptr[1:] - self.indptr[:-1]
-
-    @property
-    def keys(self) -> np.ndarray:
-        """Sorted arc codes src*n+dst; lazily built, cached."""
-        if self._keys is None:
-            src = np.repeat(np.arange(self.n, dtype=np.int64), self.deg)
-            self._keys = src * np.int64(self.n) + self.indices
-        return self._keys
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

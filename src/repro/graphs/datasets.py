@@ -220,10 +220,9 @@ def _scrambled_uk(spark: SparkSession) -> DataFrame:
 
     from repro.graphs.partition import relabel_edges
 
-    base = G.locality_graph(spark, n=8192, deg=20, window=64, long_frac=0.03,
-                            seed=104)
-    perm = np.random.default_rng(1040).permutation(8192).astype(np.int64)
-    return relabel_edges(base, perm)
+    uk = TABLE2["uk_lite"]
+    perm = np.random.default_rng(1040).permutation(uk.n).astype(np.int64)
+    return relabel_edges(uk.edges(spark), perm)
 
 
 TABLE4_EXTRA: dict[str, DatasetSpec] = {

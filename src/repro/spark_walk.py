@@ -90,72 +90,73 @@ def spark_walk(
     adj = adj.localCheckpoint()
     # Right-size shuffle parallelism to the walk batch: the per-hop joins
     # and windows are small, and the session default (64) would swamp the
-    # run in empty-task overhead. Restored before returning.
+    # run in empty-task overhead. Restored on every exit, raising or not.
     prev_parts = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set(
         "spark.sql.shuffle.partitions",
         max(4, (part.n_blocks if part is not None else 4)),
     )
-    arcs = adj.select(F.col("a_src").alias("e_u"), F.col("cand").alias("e_z"))
+    try:
+        arcs = adj.select(F.col("a_src").alias("e_u"), F.col("cand").alias("e_z"))
 
-    u_step = _unit_hash_udf(task.seed, SALT_STEP)
-    u_cont = _unit_hash_udf(task.seed, SALT_CONT)
+        u_step = _unit_hash_udf(task.seed, SALT_STEP)
+        u_cont = _unit_hash_udf(task.seed, SALT_CONT)
 
-    state = starts.select(
-        F.col("walk_id").cast("long"),
-        F.lit(-1).cast("long").alias("prev"),
-        F.col("src").cast("long").alias("cur"),
-        F.lit(0).cast("long").alias("hop"),
-    ).localCheckpoint()
-    out = [starts.select("walk_id", F.lit(0).cast("long").alias("hop"),
-                         F.col("src").cast("long").alias("vertex"))]
-
-    for _ in range(task.max_len):
-        if task.alpha is not None:
-            state = state.where(
-                (F.col("hop") == 0)
-                | (u_cont(F.col("walk_id"), F.col("hop")) < F.lit(task.alpha))
-            )
-        cands = state.join(adj, state.cur == adj.a_src).drop("a_src")
-        if task.first_order:
-            cands = cands.withColumn("w", F.lit(1.0))
-        else:
-            cands = cands.join(
-                arcs.withColumn("hit", F.lit(True)),
-                (F.col("prev") == F.col("e_u")) & (F.col("cand") == F.col("e_z")),
-                "left",
-            ).drop("e_u", "e_z")
-            cands = cands.withColumn(
-                "w",
-                F.when(F.col("prev") < 0, F.lit(1.0))
-                .when(F.col("cand") == F.col("prev"), F.lit(1.0 / task.p))
-                .when(F.col("hit").isNotNull(), F.lit(1.0))
-                .otherwise(F.lit(1.0 / task.q)),
-            ).drop("hit")
-        wseq = Window.partitionBy("walk_id").orderBy("cand")
-        wall = Window.partitionBy("walk_id")
-        cands = (
-            cands.withColumn("cum", F.sum("w").over(wseq))
-            .withColumn("z_total", F.sum("w").over(wall))
-            .withColumn("t", u_step(F.col("walk_id"), F.col("hop")) * F.col("z_total"))
-        )
-        picked = cands.groupBy("walk_id", "prev", "cur", "hop").agg(
-            F.coalesce(
-                F.min(F.when(F.col("cum") > F.col("t"), F.col("cand"))),
-                F.max("cand"),
-            ).alias("nxt")
-        )
-        state = picked.select(
-            "walk_id",
-            F.col("cur").alias("prev"),
-            F.col("nxt").alias("cur"),
-            (F.col("hop") + 1).alias("hop"),
+        state = starts.select(
+            F.col("walk_id").cast("long"),
+            F.lit(-1).cast("long").alias("prev"),
+            F.col("src").cast("long").alias("cur"),
+            F.lit(0).cast("long").alias("hop"),
         ).localCheckpoint()
-        out.append(state.select("walk_id", "hop", F.col("cur").alias("vertex")))
-        if state.isEmpty():
-            break
+        out = [starts.select("walk_id", F.lit(0).cast("long").alias("hop"),
+                             F.col("src").cast("long").alias("vertex"))]
 
-    spark.conf.set("spark.sql.shuffle.partitions", prev_parts)
+        for _ in range(task.max_len):
+            if task.alpha is not None:
+                state = state.where(
+                    (F.col("hop") == 0)
+                    | (u_cont(F.col("walk_id"), F.col("hop")) < F.lit(task.alpha))
+                )
+            cands = state.join(adj, state.cur == adj.a_src).drop("a_src")
+            if task.first_order:
+                cands = cands.withColumn("w", F.lit(1.0))
+            else:
+                cands = cands.join(
+                    arcs.withColumn("hit", F.lit(True)),
+                    (F.col("prev") == F.col("e_u")) & (F.col("cand") == F.col("e_z")),
+                    "left",
+                ).drop("e_u", "e_z")
+                cands = cands.withColumn(
+                    "w",
+                    F.when(F.col("prev") < 0, F.lit(1.0))
+                    .when(F.col("cand") == F.col("prev"), F.lit(1.0 / task.p))
+                    .when(F.col("hit").isNotNull(), F.lit(1.0))
+                    .otherwise(F.lit(1.0 / task.q)),
+                ).drop("hit")
+            wseq = Window.partitionBy("walk_id").orderBy("cand")
+            wall = Window.partitionBy("walk_id")
+            cands = (
+                cands.withColumn("cum", F.sum("w").over(wseq))
+                .withColumn("z_total", F.sum("w").over(wall))
+                .withColumn("t", u_step(F.col("walk_id"), F.col("hop")) * F.col("z_total"))
+            )
+            picked = cands.groupBy("walk_id", "prev", "cur", "hop").agg(
+                F.coalesce(
+                    F.min(F.when(F.col("cum") > F.col("t"), F.col("cand"))),
+                    F.max("cand"),
+                ).alias("nxt")
+            )
+            state = picked.select(
+                "walk_id",
+                F.col("cur").alias("prev"),
+                F.col("nxt").alias("cur"),
+                (F.col("hop") + 1).alias("hop"),
+            ).localCheckpoint()
+            out.append(state.select("walk_id", "hop", F.col("cur").alias("vertex")))
+            if state.isEmpty():
+                break
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", prev_parts)
     result = out[0]
     for o in out[1:]:
         result = result.unionByName(o)

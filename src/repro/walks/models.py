@@ -162,9 +162,9 @@ class Recorder:
 
     def on_start(self, walks: Walks) -> None:
         if self.visits is not None:
-            np.add.at(self.visits, walks.src, 1)
+            np.add.at(self.visits, walks.cur, 1)
         if self.paths is not None:
-            self.paths[walks.wid, 0] = walks.src
+            self.paths[walks.wid, 0] = walks.cur
 
     def on_step(self, walks: Walks) -> None:
         """Call after prev/cur/hop have been advanced."""

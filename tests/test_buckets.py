@@ -10,7 +10,6 @@ def _mk(prev_b, cur_b):
     n = len(prev_b)
     return Walks(
         wid=np.arange(n),
-        src=np.zeros(n, dtype=np.int64),
         prev=np.asarray(prev_b, dtype=np.int64),
         cur=np.asarray(cur_b, dtype=np.int64),
         hop=np.ones(n, dtype=np.int64),

@@ -2,7 +2,16 @@
 import numpy as np
 import pytest
 
+from repro.core.tables import _mk_tasks
+from repro.core.tasks import DeepWalkConfig
 from repro.graphs.datasets import ALL, TABLE2, TABLE5, dataset_stats
+
+# The paper's 128-bit walk record (Fig. 7) has 10-bit hop and block-id
+# fields and a 12-bit current-vertex offset. Walk I/O is charged at that
+# record's 16 B, which is only honest for workloads that would fit it.
+MAX_HOPS = (1 << 10) - 1
+MAX_BLOCKS = 1 << 10
+MAX_BLOCK_VERTICES = 1 << 12
 
 
 class TestRegistryShape:
@@ -44,6 +53,19 @@ class TestRegistryShape:
             assert spec.name == name
 
 
+class TestWalkRecordFits:
+    @pytest.mark.parametrize("name", sorted(ALL))
+    def test_registry_task_fits(self, name):
+        """Every task the table runners build for this dataset (RWNV, PRNV,
+        DeepWalk) stays within the record's hop field, and the dataset
+        within its block-id field."""
+        spec = ALL[name]
+        tasks = {**_mk_tasks(spec), "DeepWalk": DeepWalkConfig(length=spec.rwnv_len)}
+        for bench, cfg in tasks.items():
+            assert cfg.task().max_len <= MAX_HOPS, bench
+        assert spec.n_blocks <= MAX_BLOCKS
+
+
 class TestBuiltGraphs:
     @pytest.mark.parametrize("name", ["lj_lite", "uk_lite"])
     def test_build_table2(self, spark, name):
@@ -52,6 +74,7 @@ class TestBuiltGraphs:
         assert system.store.n_blocks == spec.n_blocks
         assert system.csr.n == spec.n
         assert system.csr.n_arcs > 0
+        assert np.diff(system.store.part.block_starts).max() <= MAX_BLOCK_VERTICES
 
     def test_skew_family_comparable_size(self, spark):
         ms = {

@@ -167,3 +167,16 @@ class TestLiveness:
         starts = Walks.from_sources(np.array([0]), np.array([int(np.argmax(store.csr.deg))]))
         res = run_bi_block(store, task, starts, sim=DiskSim(params=store.params), record_paths=True)
         assert (res.recorder.paths[0] >= 0).sum() == 31
+
+
+class TestStartBatch:
+    @pytest.mark.parametrize("fn", [run_bi_block, run_plain_bucket])
+    def test_stepped_start_walk_rejected(self, fn):
+        """Engines place start walks by their current block and record
+        ``cur`` as hop 0, so a batch holding one stepped walk is refused."""
+        store = _store()
+        starts = all_vertex_starts(store.csr, 1)
+        v = int(starts.cur[3])
+        starts.prev[3], starts.cur[3], starts.hop[3] = v, int(store.csr.neighbors(v)[0]), 1
+        with pytest.raises(ValueError, match="unstepped"):
+            fn(store, WalkTask(max_len=10, seed=1), starts)

@@ -21,7 +21,6 @@ def _walks_at(prev, cur, hop=1, wid0=0):
     n = len(cur)
     return Walks(
         wid=np.arange(wid0, wid0 + n),
-        src=np.asarray(cur, dtype=np.int64),
         prev=np.asarray(prev, dtype=np.int64),
         cur=np.asarray(cur, dtype=np.int64),
         hop=np.full(n, hop, dtype=np.int64),
@@ -143,7 +142,6 @@ class TestBatchStep:
         n = 40_000
         w = Walks(
             wid=np.arange(n),
-            src=np.full(n, v),
             prev=np.full(n, u),
             cur=np.full(n, v),
             hop=np.ones(n, dtype=np.int64),

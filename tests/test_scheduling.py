@@ -28,9 +28,8 @@ def _pools(counts, hops=None):
         if c:
             h = np.full(c, (hops or {}).get(b, 1), dtype=np.int64)
             w = Walks(
-                wid=np.arange(c), src=np.zeros(c, dtype=np.int64),
-                prev=np.zeros(c, dtype=np.int64), cur=np.zeros(c, dtype=np.int64),
-                hop=h,
+                wid=np.arange(c), prev=np.zeros(c, dtype=np.int64),
+                cur=np.zeros(c, dtype=np.int64), hop=h,
             )
             pools.add_grouped(np.full(c, b), w)
     return pools

@@ -7,6 +7,7 @@ engine) — same counter-based RNG, same cumulative-sum sampling rule.
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import AnalysisException
 from pyspark.sql import functions as F
 
 from repro.graphs.csr import build_csr
@@ -152,6 +153,23 @@ class TestDataflowPieces:
         )
         row = bucket_stats(state, part).collect()[0]
         assert row["pool_block"] <= row["bucket"]
+
+
+class TestSessionConf:
+    def test_failed_walk_restores_shuffle_partitions(self, spark, graph):
+        """A bad ``starts`` frame (no ``src`` column) raises, and the shared
+        session's shuffle parallelism is left as it was."""
+        edges, csr, part = graph
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        spark.conf.set(key, "7")
+        try:
+            bad = spark.createDataFrame(pd.DataFrame({"walk_id": [0], "vertex": [1]}))
+            with pytest.raises(AnalysisException):
+                spark_walk(edges, csr.n, WalkTask(max_len=3, seed=1), bad, part=part)
+            assert spark.conf.get(key) == "7"
+        finally:
+            spark.conf.set(key, before)
 
 
 class TestTermination:

@@ -44,6 +44,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BlockStore(csr, Partition(np.array([0, 10, 20])))  # 20 != 30
 
+    def test_physical_without_dir_rejected(self):
+        """A physical store with nowhere to read from must not fall back to
+        memory without saying so."""
+        csr = random_csr(30, 60, seed=1)
+        with pytest.raises(ValueError, match="physical_dir"):
+            BlockStore(csr, even_partition(30, 3), physical=True)
+
 
 class TestBlockSlices:
     def test_slice_matches_global(self, store):

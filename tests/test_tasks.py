@@ -18,7 +18,7 @@ class TestRWNV:
         starts = cfg.starts(csr)
         n_active = int((csr.deg > 0).sum())
         assert len(starts) == 3 * n_active
-        counts = np.bincount(starts.src, minlength=csr.n)
+        counts = np.bincount(starts.cur, minlength=csr.n)
         assert (counts[csr.deg > 0] == 3).all()
         assert (counts[csr.deg == 0] == 0).all()
 
